@@ -641,7 +641,7 @@ fn scale() -> Result<(), String> {
     println!("Checker: incremental CausalChecker vs the legacy dense-closure oracle");
     println!("(legacy measured at a small anchor tier only — it is cubic — so the");
     println!("quoted speedups are underestimates). Simulator: an 8-process ring");
-    println!("through the slab flight table and calendar queue. Pipeline: the");
+    println!("through the slab flight table and the event heap. Pipeline: the");
     println!("simulation overlapped with sharded incremental checking, sealed");
     println!("trace segments recycled mid-run. All digests are pinned against");
     println!("committed fixtures.\n");

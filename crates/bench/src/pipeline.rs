@@ -261,7 +261,7 @@ impl Actor for KvServer {
                 KvMsg::Repl { key, val } => {
                     // Absorbed: visible to nobody's reads, so shards
                     // stay isolated; the message still exercised the
-                    // flight slab, the calendar queue and the trace.
+                    // flight slab, the event heap and the trace.
                     self.shadow[key as usize] = Some(val);
                 }
             }

@@ -14,7 +14,7 @@
 //!   the quoted speedups at 100k/1M are **underestimates**.
 //! * **Scheduler scaling** — a ring [`World`] forwards a token
 //!   10k/100k/1M hops through the slab-backed flight table and the
-//!   calendar event queue. Each tier records its trace digest (checked
+//!   `(time, seq)` event heap. Each tier records its trace digest (checked
 //!   against the committed fixture `fixtures/scale_digests.txt`), the
 //!   trace length and the pre-sized capacity, so a scheduler change
 //!   that perturbs event order fails `repro scale` — and the fixture

@@ -21,15 +21,13 @@
 //!   is what the theorem machinery in `cbf-core` drives.
 
 use crate::actor::{Actor, Ctx, Envelope};
-use crate::calendar::{CalendarQueue, Scheduled};
 use crate::latency::LatencyModel;
 use crate::slab::{FlightSlab, SlotRef};
-use crate::smallvec::SmallVec;
 use crate::trace::{Trace, TraceEvent};
 use crate::types::{Link, MsgId, ProcessId, RunOutcome, ServiceStats, SimConfig, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,12 +119,6 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
-impl<M> Scheduled for QueuedEvent<M> {
-    fn time(&self) -> Time {
-        self.time
-    }
-}
-
 /// Per-process counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProcStats {
@@ -179,18 +171,18 @@ pub struct World<A: Actor> {
     /// Display labels; immutable per run in practice, so forks share
     /// them through the `Arc` (copy-on-write via [`World::set_label`]).
     labels: Arc<Vec<String>>,
-    inboxes: Vec<SmallVec<Envelope<A::Msg>, 2>>,
+    inboxes: Vec<Vec<Envelope<A::Msg>>>,
     /// Messages in transit, in a generation-indexed slab (flat storage,
     /// O(1) insert/remove, stale-event detection via generations). All
     /// observable iteration over it is `MsgId`-sorted — the order of the
     /// `BTreeMap` it replaced.
     in_flight: FlightSlab<Flight<A::Msg>>,
-    /// Pending events in a bucketed calendar queue whose pop order is
-    /// exactly a `(time, seq)` min-heap's.
-    queue: CalendarQueue<QueuedEvent<A::Msg>>,
+    /// Pending events; `QueuedEvent`'s reversed `Ord` makes this
+    /// max-heap pop in ascending `(time, seq)` order.
+    queue: BinaryHeap<QueuedEvent<A::Msg>>,
     /// Messages whose Deliver event fired while their link was held; they
     /// wait here until the link is released.
-    frozen: BTreeMap<Link, SmallVec<(MsgId, SlotRef), 2>>,
+    frozen: BTreeMap<Link, Vec<(MsgId, SlotRef)>>,
     /// With [`SimConfig::fifo_links`]: the latest scheduled arrival per
     /// directed link, so later sends never overtake earlier ones.
     last_arrival: BTreeMap<Link, Time>,
@@ -245,9 +237,9 @@ impl<A: Actor> World<A> {
         let mut w = World {
             actors: actors.into_iter().map(Some).collect(),
             labels: Arc::new((0..n).map(|i| format!("P{i}")).collect()),
-            inboxes: (0..n).map(|_| SmallVec::new()).collect(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
             in_flight: FlightSlab::new(),
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             frozen: BTreeMap::new(),
             last_arrival: BTreeMap::new(),
             held: BTreeSet::new(),
@@ -570,7 +562,7 @@ impl<A: Actor> World<A> {
     }
 
     fn do_step(&mut self, pid: ProcessId) {
-        let inbox = self.inboxes[pid.index()].take().into_vec();
+        let inbox = std::mem::take(&mut self.inboxes[pid.index()]);
         let mut ctx = Ctx::recycled(
             pid,
             self.now,
@@ -623,7 +615,7 @@ impl<A: Actor> World<A> {
                 self.crashed.insert(pid, recover_at);
                 // Undelivered mail in the income buffer dies with the
                 // process; in-flight messages die on arrival instead.
-                let _ = self.inboxes[pid.index()].take();
+                self.inboxes[pid.index()].clear();
                 if lose_volatile {
                     self.actors[pid.index()]
                         .as_mut()
@@ -841,9 +833,7 @@ impl<A: Actor> World<A> {
         horizon: Option<Time>,
         mut pred: Option<&mut dyn FnMut(&Self) -> bool>,
     ) -> RunOutcome {
-        // Most restricted runs defer only a handful of events; keep
-        // them inline.
-        let mut deferred: SmallVec<QueuedEvent<A::Msg>, 2> = SmallVec::new();
+        let mut deferred: Vec<QueuedEvent<A::Msg>> = Vec::new();
         let mut processed: u64 = 0;
         let outcome = loop {
             if let Some(p) = pred.as_mut() {
@@ -966,9 +956,7 @@ impl<A: Actor> World<A> {
         };
         // Deferred events go back into the queue: a restricted run is an
         // adversarial *delay* of everyone else, not a drop.
-        for ev in deferred {
-            self.queue.push(ev);
-        }
+        self.queue.extend(deferred);
         outcome
     }
 
@@ -1046,17 +1034,7 @@ impl<A: Actor> World<A> {
         // chaotic adversary dispatches them at will.
         let mut timers: Vec<(Time, ProcessId, A::Msg)> = Vec::new();
         let mut due: Vec<(Time, ProcessId)> = Vec::new();
-        let drained: Vec<_> = self.queue.drain_sorted();
-        for ev in drained {
-            match ev.kind {
-                EvKind::Deliver(..) => {} // represented by in_flight
-                EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                EvKind::StepDue(p) => due.push((ev.time, p)),
-                // The chaotic adversary is its own nemesis: scheduled
-                // fault-plan actions are kept for later automatic runs.
-                EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
-            }
-        }
+        self.take_over_queue(&mut timers, &mut due);
         for actions in 0..max_actions {
             // Enabled actions. 0..d: deliver in-flight message i (held
             // links excluded); d..d+t: fire timer; d+t..d+t+s: due step;
@@ -1093,16 +1071,6 @@ impl<A: Actor> World<A> {
                 let id = self.fresh_msg_id();
                 self.inboxes[pid.index()].push(Envelope { from: pid, id, msg });
                 self.do_step(pid);
-                // Steps may set new timers; absorb them from the queue.
-                let drained: Vec<_> = self.queue.drain_sorted();
-                for ev in drained {
-                    match ev.kind {
-                        EvKind::Deliver(..) => {}
-                        EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                        EvKind::StepDue(p) => due.push((ev.time, p)),
-                        EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
-                    }
-                }
             } else if pick < deliverable.len() + timers.len() + due.len() {
                 let (t, pid) = due.swap_remove(pick - deliverable.len() - timers.len());
                 self.now = self.now.max(t) + 1;
@@ -1113,15 +1081,7 @@ impl<A: Actor> World<A> {
                 self.do_step(pid);
             }
             // Absorb any timers/step-dues generated by this action.
-            let drained: Vec<_> = self.queue.drain_sorted();
-            for ev in drained {
-                match ev.kind {
-                    EvKind::Deliver(..) => {}
-                    EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                    EvKind::StepDue(p) => due.push((ev.time, p)),
-                    EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
-                }
-            }
+            self.take_over_queue(&mut timers, &mut due);
         }
         // Put leftovers back for any subsequent automatic run.
         for (t, p, m) in timers {
@@ -1131,6 +1091,27 @@ impl<A: Actor> World<A> {
             self.push_event(t.max(self.now), EvKind::StepDue(p));
         }
         RunOutcome::EventLimit
+    }
+
+    /// Empty the event queue into the chaotic adversary's pools, in
+    /// ascending `(time, seq)` order so the takeover is deterministic.
+    fn take_over_queue(
+        &mut self,
+        timers: &mut Vec<(Time, ProcessId, A::Msg)>,
+        due: &mut Vec<(Time, ProcessId)>,
+    ) {
+        // `into_sorted_vec` ascends by the reversed `Ord`: latest first.
+        let queue = std::mem::take(&mut self.queue).into_sorted_vec();
+        for ev in queue.into_iter().rev() {
+            match ev.kind {
+                EvKind::Deliver(..) => {} // represented by in_flight
+                EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
+                EvKind::StepDue(p) => due.push((ev.time, p)),
+                // The chaotic adversary is its own nemesis: scheduled
+                // fault-plan actions are kept for later automatic runs.
+                EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
+            }
+        }
     }
 }
 
@@ -1449,6 +1430,38 @@ mod tests {
         // Chaotic schedules deliver everything too: empty network at the
         // end of a fault-free run.
         assert_eq!(w.undelivered_count(), 0);
+    }
+
+    /// Records the payload of every timer it sees fire.
+    #[derive(Clone, Default)]
+    struct FireLog(Vec<u8>);
+    impl Actor for FireLog {
+        type Msg = u8;
+        fn on_start(&mut self, ctx: &mut Ctx<u8>) {
+            // Three delays, armed interleaved so each one's timers sit
+            // out of arming order inside the heap; the payload is the
+            // arming index, which is also the seq order.
+            for (p, d) in [30, 20, 10, 20, 10, 30, 10, 20].into_iter().enumerate() {
+                ctx.set_timer(d * MICROS, p as u8);
+            }
+        }
+        fn step(&mut self, ctx: &mut Ctx<u8>) {
+            self.0.extend(ctx.recv().into_iter().map(|env| env.msg));
+        }
+    }
+
+    /// The chaotic adversary takes pending timers over in ascending
+    /// `(time, seq)` order: earliest first, equal times by arming order.
+    #[test]
+    fn chaotic_takeover_order_is_time_then_seq() {
+        let mut w = World::with_defaults(vec![FireLog::default()]);
+        // Move the clock past every timer without firing any...
+        w.step_now_at(ProcessId(0), MILLIS);
+        // ...so a zero-action chaotic run hands them all back at `now`,
+        // where only their takeover order separates them.
+        assert_eq!(w.run_chaotic(0, 0), RunOutcome::EventLimit);
+        assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
+        assert_eq!(w.actor(ProcessId(0)).0, vec![2, 4, 6, 1, 3, 7, 0, 5]);
     }
 
     #[test]

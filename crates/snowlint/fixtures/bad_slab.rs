@@ -1,7 +1,7 @@
 //! Known-bad clone of the sim crate's flight slab: drops the module's
 //! `#![deny(unsafe_code)]` guard and commits every determinism sin the
-//! slab/calendar refactor was tempted by. Lexed by the fixture tests
-//! under the path `crates/sim/src/slab.rs`; never compiled.
+//! slab refactor was tempted by. Lexed by the fixture tests under the
+//! path `crates/sim/src/slab.rs`; never compiled.
 
 use std::collections::HashMap; // line: hash
 use std::time::Instant;

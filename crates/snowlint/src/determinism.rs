@@ -28,8 +28,9 @@
 //!   appear only in `replay.rs`. The event loop must drive actors
 //!   through the public `Ctx::standalone` step API alone; if the hot
 //!   path could consult the sim, a replay match would prove nothing.
-//! - `unsafe-block` — no `unsafe` outside `crates/sim/src/smallvec.rs`,
-//!   the single file allowed to earn it back with Miri coverage.
+//! - `unsafe-block` — no `unsafe` anywhere in first-party code: every
+//!   crate carries `#![deny(unsafe_code)]`, and this rule keeps a
+//!   crate-level `allow` from quietly reopening the door.
 
 use crate::lexer::{Lexed, TokKind};
 use crate::report::Finding;
@@ -40,7 +41,7 @@ pub const RULE_HASH: &str = "hash-collections";
 pub const RULE_CLOCK: &str = "wall-clock";
 /// Rule name: thread spawning outside `cbf-par`.
 pub const RULE_THREAD: &str = "ad-hoc-threads";
-/// Rule name: `unsafe` outside the vetted smallvec file.
+/// Rule name: `unsafe` anywhere in first-party code.
 pub const RULE_UNSAFE: &str = "unsafe-block";
 /// Rule name: scheduler-core files missing their `#![deny(unsafe_code)]`.
 pub const RULE_GUARD: &str = "missing-unsafe-guard";
@@ -59,9 +60,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/sim/",
     "crates/workloads/",
 ];
-
-/// The one file allowed to contain `unsafe`.
-const UNSAFE_ALLOWED_FILE: &str = "crates/sim/src/smallvec.rs";
 
 /// The one crate allowed to create threads.
 const THREAD_ALLOWED_CRATE: &str = "crates/par/";
@@ -89,11 +87,11 @@ const SIM_ORACLE_TYPES: &[&str] = &["World", "SimConfig", "LatencyModel", "Trace
 /// Modules that promise safety in their docs and must carry their own
 /// `#![deny(unsafe_code)]` even though the crate root is already the
 /// lexer's concern. Two families: the scheduler core (the slab flight
-/// table and the calendar queue traded std collections for index
-/// arithmetic, exactly the terrain where `unsafe` creeps in) and the
-/// streaming pipeline (the sink, the sharded checker and the pipeline
-/// harness move trace segments and transactions across a thread
-/// boundary, where `unsafe` shortcuts would be just as tempting), plus
+/// table traded a std collection for index arithmetic, exactly the
+/// terrain where `unsafe` creeps in) and the streaming pipeline (the
+/// sink, the sharded checker and the pipeline harness move trace
+/// segments and transactions across a thread boundary, where `unsafe`
+/// shortcuts would be just as tempting), plus
 /// the bounded-memory tier (the checker's frontier GC compacts arenas
 /// and rebases value ledgers with raw index arithmetic, and the soak
 /// harness is the exhibit that certifies the whole stack's plateau),
@@ -105,7 +103,6 @@ const SIM_ORACLE_TYPES: &[&str] = &["World", "SimConfig", "LatencyModel", "Trace
 /// unchecked byte-slice read would creep in).
 const GUARDED_FILES: &[&str] = &[
     "crates/sim/src/slab.rs",
-    "crates/sim/src/calendar.rs",
     "crates/sim/src/sink.rs",
     "crates/model/src/streaming.rs",
     "crates/model/src/incremental.rs",
@@ -279,19 +276,19 @@ pub fn check(path: &str, lx: &Lexed, out: &mut Vec<Finding>) {
             );
         }
 
-        if t.text == "unsafe" && path != UNSAFE_ALLOWED_FILE {
+        if t.text == "unsafe" {
             out.push(
                 Finding::error(
                     RULE_UNSAFE,
                     path,
                     t.line,
                     t.col,
-                    "new `unsafe` outside crates/sim/src/smallvec.rs".to_string(),
+                    "new `unsafe` in first-party code".to_string(),
                 )
                 .with_help(
-                    "every crate but cbf-sim carries #![deny(unsafe_code)]; \
-                     if unsafe is genuinely needed, move it behind a safe \
-                     abstraction in the sim crate and cover it with Miri"
+                    "every crate carries #![deny(unsafe_code)]; express the \
+                     operation in safe Rust (checked indexing, `Option` \
+                     slots, std collections)"
                         .to_string(),
                 ),
             );
@@ -406,9 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_allowed_only_in_smallvec() {
+    fn unsafe_is_an_error_everywhere() {
         let src = "unsafe { core::hint::unreachable_unchecked() }";
         assert_eq!(run("crates/model/src/x.rs", src).len(), 1);
-        assert!(run("crates/sim/src/smallvec.rs", src).is_empty());
+        // No file is exempt, the formerly exempt one included.
+        let out = run("crates/sim/src/smallvec.rs", src);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, RULE_UNSAFE);
     }
 }

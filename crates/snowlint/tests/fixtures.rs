@@ -87,9 +87,9 @@ fn bad_checker_is_clean_outside_deterministic_crates_except_global_rules() {
 
 #[test]
 fn bad_slab_fails_the_guard_and_determinism_rules() {
-    // The slab/calendar modules are new scheduler core (PR 4): a clone
-    // that drops its `#![deny(unsafe_code)]` guard and reaches for
-    // HashMap/Instant/unsafe must light up every applicable rule.
+    // The slab module is scheduler core: a clone that drops its
+    // `#![deny(unsafe_code)]` guard and reaches for HashMap/Instant/unsafe
+    // must light up every applicable rule.
     let src = fixture("bad_slab.rs");
     let path = "crates/sim/src/slab.rs";
     let mut out = Vec::new();
@@ -137,10 +137,10 @@ fn bad_slab_fails_the_guard_and_determinism_rules() {
 
 #[test]
 fn bad_pipeline_fails_the_guard_and_determinism_rules() {
-    // The streaming-pipeline modules (PR 5) get the slab/calendar
-    // treatment: a clone that drops its `#![deny(unsafe_code)]` guard
-    // and reaches for threads/Instant/unsafe must light up every
-    // applicable rule at the exact file and line.
+    // The streaming-pipeline modules get the slab treatment: a
+    // clone that drops its `#![deny(unsafe_code)]` guard and reaches for
+    // threads/Instant/unsafe must light up every applicable rule at the
+    // exact file and line.
     let src = fixture("bad_pipeline.rs");
     let path = "crates/bench/src/pipeline.rs";
     let mut out = Vec::new();
