@@ -185,11 +185,11 @@ pub fn gate_scale(baseline_json: &str, report: &crate::scale::ScaleReport) -> Ve
         }
     }
     for r in &report.pipeline {
-        if let Some(base) = entry_field(baseline_json, "tier", &r.tier.to_string(), "tx_per_sec") {
+        if let Some(base) = entry_field(baseline_json, "tier", &r.txs.to_string(), "tx_per_sec") {
             checks.push(check(
-                format!("scale/pipeline@{} tx/s", r.tier),
+                format!("scale/pipeline@{} tx/s", r.txs),
                 base,
-                r.tx_per_sec,
+                r.tx_per_sec(),
             ));
         }
     }

@@ -670,10 +670,10 @@ fn scale() -> Result<(), String> {
         }
     }
     for r in &report.pipeline {
-        if !r.verdict_ok {
+        if !r.verdict.is_ok() {
             return Err(format!(
                 "scale: pipeline tier {} verdict not consistent",
-                r.tier
+                r.txs
             ));
         }
     }
@@ -681,7 +681,7 @@ fn scale() -> Result<(), String> {
         println!(
             "Pipeline at {} txs: {:.0} ms wall (sim {:.0} ms ∥ check {:.0} ms, \
              overlap {:.2}), {} of {} trace segments recycled, peak {} resident.",
-            r.tier,
+            r.txs,
             r.wall_ms,
             r.sim_span_ms,
             r.check_span_ms,

@@ -329,33 +329,36 @@ impl ToJson for crate::scale::WorldScaleRow {
     }
 }
 
-impl ToJson for crate::scale::PipelineScaleRow {
+impl ToJson for crate::pipeline::PipelineOutcome {
     fn to_json(&self, indent: usize) -> String {
+        let check_s = (self.check_span_ms / 1e3).max(1e-9);
         let shard_tps = format!(
             "[{}]",
-            self.shard_tps
+            self.shard_txs
                 .iter()
-                .map(|t| format!("{t:.1}"))
+                .map(|&n| format!("{:.1}", n as f64 / check_s))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
         Obj::new()
-            .u64("tier", self.tier)
+            .u64("tier", self.txs)
             .f64("wall_ms", self.wall_ms)
             .f64("sim_span_ms", self.sim_span_ms)
             .f64("check_span_ms", self.check_span_ms)
             // 0 = sequential, →1 = producer and consumer fully
             // overlapped; serial runs report 0 by construction.
             .f64("overlap_ratio", self.overlap_ratio)
-            .f64("tx_per_sec", self.tx_per_sec)
+            .f64("tx_per_sec", self.tx_per_sec())
             .raw("shard_tx_per_sec", shard_tps)
             .u64("events", self.events)
             .u64("trace_events", self.trace_events)
             .u64("peak_segments_resident", self.peak_segments_resident)
             .u64("recycled_segments", self.recycled_segments)
             .str("digest", &format!("{:016x}", self.digest))
-            .bool("verdict_ok", self.verdict_ok)
-            .u64("checker_resident_txs", self.checker_resident_txs)
+            .bool("verdict_ok", self.verdict.is_ok())
+            // Summed shard state after the verdict (this exhibit never
+            // GCs; the soak tier owns the bounded claim).
+            .u64("checker_resident_txs", self.resident.txs as u64)
             .render(indent)
     }
 }

@@ -797,16 +797,7 @@ const DIGEST_FIXTURE: &str = include_str!("../fixtures/load_digests.txt");
 
 /// The committed digest for a fixture key, if one is pinned.
 pub fn expected_load_digest(key: &str) -> Option<u64> {
-    DIGEST_FIXTURE.lines().find_map(|line| {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return None;
-        }
-        let (k, d) = line.split_once(char::is_whitespace)?;
-        (k == key)
-            .then(|| u64::from_str_radix(d.trim(), 16).ok())
-            .flatten()
-    })
+    crate::scale::fixture_digest(DIGEST_FIXTURE, key)
 }
 
 /// A cell's fixture key: `cell:<protocol>:<mix>`.

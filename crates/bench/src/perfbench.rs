@@ -151,12 +151,6 @@ impl ToJson for PerfReport {
     }
 }
 
-/// Peak resident set size in kB (`VmHWM`); see [`crate::memstats`],
-/// which owns the `/proc/self/status` reader all reports share.
-pub fn peak_rss_kb() -> u64 {
-    crate::memstats::peak_rss_kb()
-}
-
 /// Time one run of `f`, returning its output, elapsed milliseconds, and
 /// the `World::fork` calls it performed.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64, u64) {
@@ -200,13 +194,6 @@ pub fn measure_exhibit(name: &str, f: impl Fn() -> String) -> ExhibitPerf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rss_proxy_reads_something_on_linux() {
-        if std::path::Path::new("/proc/self/status").exists() {
-            assert!(peak_rss_kb() > 0);
-        }
-    }
 
     #[test]
     fn generator_measurement_is_deterministic() {

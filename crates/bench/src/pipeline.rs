@@ -18,14 +18,14 @@
 //!   reads only keys `k ≡ s (mod 8)`, so no client or key ever crosses
 //!   a server boundary) — and renders one verdict at the end.
 //!
-//! The two run concurrently through [`cbf_par::overlap`]: with
-//! `SNOWBOUND_THREADS=1` they run sequentially (producer to completion,
-//! then consumer) over an unbounded channel — the literal offline path.
-//! In parallel mode the channel is bounded, so a slow consumer
-//! backpressures the simulation instead of buffering the whole run.
-//! Either way the world's schedule, the drain order, the per-shard
-//! ingest order, the verdict and the trace digest are bit-identical:
-//! the channel carries data out of the simulation and nothing flows
+//! The handoff is [`cbf_par::stream`]. With `SNOWBOUND_THREADS=1` the
+//! producer hands each bundle straight to the consumer on the calling
+//! thread — one fused loop, one batch in flight. Otherwise the producer
+//! runs on its own thread and a bounded channel carries the bundles, so
+//! a slow consumer backpressures the simulation instead of buffering
+//! the run. Either way the world's schedule, the drain order, the
+//! per-shard ingest order, the verdict and the trace digest are
+//! bit-identical: bundles flow out of the simulation and nothing flows
 //! back in.
 //!
 //! [`World`]: cbf_sim::World
@@ -34,7 +34,6 @@
 
 #![deny(unsafe_code)]
 
-use std::sync::mpsc;
 use std::time::Instant;
 
 use cbf_model::checker::Verdict;
@@ -51,7 +50,7 @@ pub const SERVERS: u32 = 8;
 /// a batch generates ~2–3 events per op, all recycled at batch end.
 pub const BATCH_OPS: usize = 4_096;
 
-/// Bounded-channel depth (in batches) for the parallel mode.
+/// Handoff depth (in batches) when the producer runs on its own thread.
 const CHANNEL_BATCHES: usize = 8;
 
 /// Ids covered by each server's duplicate-filter window. Batches are
@@ -338,11 +337,12 @@ pub struct PipelineOutcome {
     pub recycled_segments: u64,
     /// Transactions per shard, in shard order.
     pub shard_txs: Vec<u64>,
-    /// Producer (sim + drain) busy span, milliseconds.
+    /// Producer (sim + drain) busy time, summed per batch, milliseconds.
     pub sim_span_ms: f64,
-    /// Consumer (ingest + verdict) busy span, milliseconds.
+    /// Consumer (ingest + verdict) busy time, summed per batch,
+    /// milliseconds.
     pub check_span_ms: f64,
-    /// Wall-clock of the overlapped run, milliseconds.
+    /// Wall-clock of the whole run, milliseconds.
     pub wall_ms: f64,
     /// `(sim_span + check_span) / wall − 1`, clamped to `[0, 1]`: 0 =
     /// fully sequential (the serial mode), →1 = fully overlapped.
@@ -352,6 +352,13 @@ pub struct PipelineOutcome {
     /// Checker resident-state sizes after the verdict (summed across
     /// shards) — what the soak tier bounds and the scale rows report.
     pub resident: ResidentStats,
+}
+
+impl PipelineOutcome {
+    /// Checked transactions per second of wall-clock.
+    pub fn tx_per_sec(&self) -> f64 {
+        self.txs as f64 / (self.wall_ms / 1e3).max(1e-9)
+    }
 }
 
 /// Run the streaming pipeline: `ops` operations over `keys` keys,
@@ -364,37 +371,8 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
         "key space must split evenly across servers for the init prefix"
     );
 
-    // Serial mode must buffer the whole run (producer finishes before
-    // the consumer starts); parallel mode bounds the handoff so a slow
-    // checker backpressures the simulation.
-    let parallel = cbf_par::parallel_enabled();
-    let (bounded_tx, bounded_rx) =
-        mpsc::sync_channel::<Vec<(usize, Vec<TxRecord>)>>(CHANNEL_BATCHES);
-    let (unbounded_tx, unbounded_rx) = mpsc::channel::<Vec<(usize, Vec<TxRecord>)>>();
-
-    enum Tx {
-        Bounded(mpsc::SyncSender<Vec<(usize, Vec<TxRecord>)>>),
-        Unbounded(mpsc::Sender<Vec<(usize, Vec<TxRecord>)>>),
-    }
-    impl Tx {
-        fn send(&self, v: Vec<(usize, Vec<TxRecord>)>) {
-            match self {
-                Tx::Bounded(s) => s.send(v).expect("checker hung up"),
-                Tx::Unbounded(s) => s.send(v).expect("checker hung up"),
-            }
-        }
-    }
-    let (sender, receiver) = if parallel {
-        drop(unbounded_rx);
-        (Tx::Bounded(bounded_tx), bounded_rx)
-    } else {
-        drop(bounded_rx);
-        (Tx::Unbounded(unbounded_tx), unbounded_rx)
-    };
-
     let wall0 = Instant::now();
-    let producer = move || {
-        let t0 = Instant::now();
+    let producer = move |emit: &mut dyn FnMut(Vec<(usize, Vec<TxRecord>)>)| {
         let actors: Vec<KvServer> = (0..SERVERS).map(|s| KvServer::new(s, keys)).collect();
         let mut w = World::new(
             actors,
@@ -409,9 +387,11 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
         );
         let mut sink = CountingSink::default();
         let mut peak_segments = 0usize;
+        let mut busy_ms = 0.0;
         let mut gen = OpGen::new(keys, seed);
         let mut remaining = ops;
         while remaining > 0 {
+            let t0 = Instant::now();
             let batch = BATCH_OPS.min(remaining);
             remaining -= batch;
             for _ in 0..batch {
@@ -425,13 +405,13 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
             let bundle: Vec<(usize, Vec<TxRecord>)> = (0..SERVERS)
                 .map(|s| (s as usize, w.actor_mut(ProcessId(s)).take_log()))
                 .collect();
-            sender.send(bundle);
             peak_segments = peak_segments.max(w.trace.resident_segments());
             w.trace.drain_sealed(&mut sink);
+            busy_ms += t0.elapsed().as_secs_f64() * 1e3;
+            emit(bundle);
         }
         peak_segments = peak_segments.max(w.trace.resident_segments());
         w.trace.drain_rest(&mut sink);
-        drop(sender); // close the channel: the consumer's recv loop ends
         let stats = w.stats_snapshot();
         (
             w.trace.digest(),
@@ -439,35 +419,28 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
             stats.trace_events,
             peak_segments as u64,
             sink.segments as u64,
-            t0.elapsed().as_secs_f64() * 1e3,
+            busy_ms,
         )
     };
-    let consumer = move || {
-        let t0 = Instant::now();
-        let mut checker = ShardedChecker::new(SERVERS as usize);
-        while let Ok(bundle) = receiver.recv() {
+    let mut checker = ShardedChecker::new(SERVERS as usize);
+    let mut check_span_ms = 0.0;
+    let (digest, events, trace_events, peak_segments, recycled_segments, sim_span_ms) =
+        cbf_par::stream(CHANNEL_BATCHES, producer, |bundle| {
+            let t0 = Instant::now();
             for (shard, txs) in bundle {
                 for t in txs {
                     checker.ingest_to(shard, t);
                 }
             }
-        }
-        let verdict = checker.verdict();
-        let resident = checker.resident_stats();
-        let shard_txs: Vec<u64> = checker.shard_lens().iter().map(|&n| n as u64).collect();
-        (
-            checker.len() as u64,
-            shard_txs,
-            verdict,
-            resident,
-            t0.elapsed().as_secs_f64() * 1e3,
-        )
-    };
-
-    let (
-        (digest, events, trace_events, peak_segments, recycled_segments, sim_span_ms),
-        (txs, shard_txs, verdict, resident, check_span_ms),
-    ) = cbf_par::overlap(producer, consumer);
+            check_span_ms += t0.elapsed().as_secs_f64() * 1e3;
+        });
+    let t0 = Instant::now();
+    let verdict = checker.verdict();
+    let resident = checker.resident_stats();
+    check_span_ms += t0.elapsed().as_secs_f64() * 1e3;
+    let txs = checker.len() as u64;
+    let shard_txs = checker.shard_lens().iter().map(|&n| n as u64).collect();
+    drop(checker); // teardown is part of the run's wall clock
     let wall_ms = wall0.elapsed().as_secs_f64() * 1e3;
 
     PipelineOutcome {
@@ -606,19 +579,26 @@ mod tests {
 
     #[test]
     fn serial_mode_is_bit_identical() {
-        // Force the literal offline ordering through the env knob the
-        // determinism suite uses, then compare against the ambient run.
-        let ambient = run_pipeline(2_000, 64, 11);
+        // Pin both budgets explicitly, the way the determinism suite
+        // does, so the threaded handoff runs even on a 1-vCPU machine.
         let saved = std::env::var(cbf_par::THREADS_ENV).ok();
+        std::env::set_var(cbf_par::THREADS_ENV, "2");
+        let threaded = run_pipeline(2_000, 64, 11);
         std::env::set_var(cbf_par::THREADS_ENV, "1");
         let serial = run_pipeline(2_000, 64, 11);
         match saved {
             Some(v) => std::env::set_var(cbf_par::THREADS_ENV, v),
             None => std::env::remove_var(cbf_par::THREADS_ENV),
         }
-        assert_eq!(ambient.digest, serial.digest);
-        assert_eq!(ambient.txs, serial.txs);
-        assert_eq!(ambient.shard_txs, serial.shard_txs);
-        assert_eq!(ambient.verdict, serial.verdict);
+        assert_eq!(threaded.digest, serial.digest);
+        assert_eq!(threaded.txs, serial.txs);
+        assert_eq!(threaded.events, serial.events);
+        assert_eq!(threaded.shard_txs, serial.shard_txs);
+        assert_eq!(
+            threaded.peak_segments_resident,
+            serial.peak_segments_resident
+        );
+        assert_eq!(threaded.recycled_segments, serial.recycled_segments);
+        assert_eq!(threaded.verdict, serial.verdict);
     }
 }

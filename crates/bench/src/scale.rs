@@ -19,13 +19,13 @@
 //!   trace length and the pre-sized capacity, so a scheduler change
 //!   that perturbs event order fails `repro scale` — and the fixture
 //!   unit test — before it reaches any protocol suite.
-//! * **Streaming pipeline** — [`crate::pipeline::run_pipeline`] drives a
-//!   key-value world and checks it *while it runs*: committed
-//!   transactions flow through a channel into a sharded incremental
-//!   checker, and sealed trace segments are recycled as soon as they are
-//!   folded into the running digest. The gates assert the digest against
-//!   its own committed fixture, the O(batch) resident-segment bound, and
-//!   bit-identity with the full-retention offline twin at the cheap tier.
+//! * **Streaming pipeline** — [`run_pipeline`] drives a key-value
+//!   world and checks it *while it runs*: committed transactions flow
+//!   batch by batch into a sharded incremental checker, and sealed trace
+//!   segments are recycled as soon as they are folded into the running
+//!   digest. The gates assert the digest against its own committed
+//!   fixture, the O(batch) resident-segment bound, and bit-identity
+//!   with the full-retention offline twin at the cheap tier.
 //!
 //! Everything here is deterministic: the workload is seeded, the worlds
 //! are virtual-time, and only the wall-clock fields vary run to run.
@@ -38,6 +38,8 @@ use cbf_sim::{Actor, Ctx, LatencyModel, ProcessId, SimConfig, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::pipeline::{run_offline, run_pipeline, PipelineOutcome};
+
 /// Transaction-count tiers for the checker measurement.
 pub const CHECKER_TIERS: &[usize] = &[10_000, 100_000, 1_000_000];
 
@@ -46,13 +48,14 @@ pub const WORLD_TIERS: &[u32] = &[10_000, 100_000, 1_000_000];
 
 /// Operation-count tiers for the streaming pipeline measurement, with
 /// the key-space width each runs over (≥ one key per server, divisible
-/// by the server count — see [`crate::pipeline::run_pipeline`]).
+/// by the server count — see [`run_pipeline`]).
 pub const PIPELINE_TIERS: &[(usize, u32)] = &[(10_000, 256), (100_000, 1_024), (1_000_000, 4_096)];
 
 /// The streaming path must agree with its offline twin bit for bit;
-/// asserting that at every tier would double the run, so the scale gate
-/// replays both paths at this (cheap) tier only. The full 32-seed sweep
-/// lives in the differential test suite.
+/// running the twin at every tier would double the run, so the scale
+/// gate compares this (cheap) tier's streamed outcome against its
+/// offline replay only. The full 32-seed sweep lives in the
+/// differential test suite.
 pub const PIPELINE_DIFF_TIER: usize = 10_000;
 
 /// The legacy oracle is measured at this tier only (cubic closure: a
@@ -119,44 +122,6 @@ pub struct WorldScaleRow {
     pub digest: u64,
 }
 
-/// One streaming-pipeline tier: simulation overlapped with sharded
-/// checking, segment recycling on.
-#[derive(Clone, Debug)]
-pub struct PipelineScaleRow {
-    /// Operations driven through the world (= transactions checked).
-    pub tier: u64,
-    /// End-to-end wall-clock of the overlapped run, milliseconds.
-    pub wall_ms: f64,
-    /// Producer (simulate + drain) busy span, milliseconds.
-    pub sim_span_ms: f64,
-    /// Consumer (ingest + verdict) busy span, milliseconds.
-    pub check_span_ms: f64,
-    /// `(sim + check) / wall − 1` clamped to `[0, 1]`: 0 = sequential,
-    /// →1 = fully overlapped. Serial mode reports 0 by construction.
-    pub overlap_ratio: f64,
-    /// Checked transactions per second of wall-clock.
-    pub tx_per_sec: f64,
-    /// Transactions per second per checker shard, shard order.
-    pub shard_tps: Vec<f64>,
-    /// Simulator events processed.
-    pub events: u64,
-    /// Trace events recorded (recycled ones included).
-    pub trace_events: u64,
-    /// Peak sealed segments resident at any drain point — the streaming
-    /// memory bound (O(batch), not O(trace)).
-    pub peak_segments_resident: u64,
-    /// Segments recycled through the sink over the run.
-    pub recycled_segments: u64,
-    /// Trace digest (running fold over recycled + resident events).
-    pub digest: u64,
-    /// The merged sharded verdict came back consistent.
-    pub verdict_ok: bool,
-    /// Summed checker transactions resident across shards after the
-    /// verdict (this exhibit never GCs; the soak tier owns the bounded
-    /// claim).
-    pub checker_resident_txs: u64,
-}
-
 /// The whole scale report.
 #[derive(Clone, Debug)]
 pub struct ScaleReport {
@@ -165,7 +130,7 @@ pub struct ScaleReport {
     /// Simulator tiers actually run.
     pub world: Vec<WorldScaleRow>,
     /// Streaming-pipeline tiers actually run.
-    pub pipeline: Vec<PipelineScaleRow>,
+    pub pipeline: Vec<PipelineOutcome>,
     /// Peak/current RSS sampled after all tiers (see
     /// [`crate::memstats`]); the only run-to-run-varying non-wall-clock
     /// fields, so replay comparisons must filter them out.
@@ -342,30 +307,11 @@ pub fn world_scale(max_tier: u64) -> Vec<WorldScaleRow> {
 }
 
 /// Measure the streaming-pipeline tiers up to `max_tier` operations.
-pub fn pipeline_scale(max_tier: u64) -> Vec<PipelineScaleRow> {
+pub fn pipeline_scale(max_tier: u64) -> Vec<PipelineOutcome> {
     PIPELINE_TIERS
         .iter()
         .filter(|&&(ops, _)| ops as u64 <= max_tier)
-        .map(|&(ops, keys)| {
-            let out = crate::pipeline::run_pipeline(ops, keys, 42);
-            let check_s = (out.check_span_ms / 1e3).max(1e-9);
-            PipelineScaleRow {
-                tier: out.txs,
-                wall_ms: out.wall_ms,
-                sim_span_ms: out.sim_span_ms,
-                check_span_ms: out.check_span_ms,
-                overlap_ratio: out.overlap_ratio,
-                tx_per_sec: out.txs as f64 / (out.wall_ms / 1e3).max(1e-9),
-                shard_tps: out.shard_txs.iter().map(|&n| n as f64 / check_s).collect(),
-                events: out.events,
-                trace_events: out.trace_events,
-                peak_segments_resident: out.peak_segments_resident,
-                recycled_segments: out.recycled_segments,
-                digest: out.digest,
-                verdict_ok: out.verdict.is_ok(),
-                checker_resident_txs: out.resident.txs as u64,
-            }
-        })
+        .map(|&(ops, keys)| run_pipeline(ops, keys, 42))
         .collect()
 }
 
@@ -379,22 +325,24 @@ pub fn pipeline_segment_bound() -> u64 {
 
 /// The committed digest for a world tier, if the fixture pins one.
 pub fn expected_digest(tier: u64) -> Option<u64> {
-    fixture_digest(DIGEST_FIXTURE, tier)
+    fixture_digest(DIGEST_FIXTURE, &tier.to_string())
 }
 
 /// The committed digest for a pipeline tier, if the fixture pins one.
 pub fn expected_pipeline_digest(tier: u64) -> Option<u64> {
-    fixture_digest(PIPELINE_DIGEST_FIXTURE, tier)
+    fixture_digest(PIPELINE_DIGEST_FIXTURE, &tier.to_string())
 }
 
-fn fixture_digest(fixture: &str, tier: u64) -> Option<u64> {
+/// The hex digest pinned for `key` in a `<key> <hex digest>` fixture;
+/// blank lines and `#` comments are skipped.
+pub(crate) fn fixture_digest(fixture: &str, key: &str) -> Option<u64> {
     fixture.lines().find_map(|line| {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return None;
         }
-        let (t, d) = line.split_once(char::is_whitespace)?;
-        (t.parse::<u64>().ok()? == tier)
+        let (k, d) = line.split_once(char::is_whitespace)?;
+        (k == key)
             .then(|| u64::from_str_radix(d.trim(), 16).ok())
             .flatten()
     })
@@ -423,12 +371,12 @@ pub fn scale_report(max_tier: u64) -> Result<ScaleReport, String> {
     }
     let seg_bound = pipeline_segment_bound();
     for row in &report.pipeline {
-        if let Some(want) = expected_pipeline_digest(row.tier) {
+        if let Some(want) = expected_pipeline_digest(row.txs) {
             if row.digest != want {
                 return Err(format!(
                     "scale: pipeline tier {} digest {:016x} != committed fixture {:016x} \
                      — the streaming schedule or the recycling fold changed",
-                    row.tier, row.digest, want
+                    row.txs, row.digest, want
                 ));
             }
         }
@@ -436,19 +384,20 @@ pub fn scale_report(max_tier: u64) -> Result<ScaleReport, String> {
             return Err(format!(
                 "scale: pipeline tier {} held {} sealed segments resident (bound {}) \
                  — recycling is no longer keeping memory O(batch)",
-                row.tier, row.peak_segments_resident, seg_bound
+                row.txs, row.peak_segments_resident, seg_bound
             ));
         }
     }
-    // The bit-identity gate: replay the cheapest tier through both the
-    // streaming path and its full-retention offline twin.
+    // The bit-identity gate: the cheapest tier's streamed outcome
+    // against its full-retention offline twin.
     if PIPELINE_DIFF_TIER as u64 <= max_tier {
-        let (ops, keys) = *PIPELINE_TIERS
+        let (streamed, &(ops, keys)) = report
+            .pipeline
             .iter()
-            .find(|&&(ops, _)| ops == PIPELINE_DIFF_TIER)
+            .zip(PIPELINE_TIERS)
+            .find(|(_, &(ops, _))| ops == PIPELINE_DIFF_TIER)
             .expect("diff tier must be a pipeline tier");
-        let streamed = crate::pipeline::run_pipeline(ops, keys, 42);
-        let offline = crate::pipeline::run_offline(ops, keys, 42);
+        let offline = run_offline(ops, keys, 42);
         if streamed.digest != offline.digest
             || streamed.verdict != offline.verdict
             || streamed.shard_txs != offline.shard_txs
@@ -512,12 +461,12 @@ pub fn render_scale(report: &ScaleReport) -> String {
     for r in &report.pipeline {
         out.push_str(&format!(
             "   {:>9} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>12.0} {:>9} {:>8}  {:016x}\n",
-            r.tier,
+            r.txs,
             r.wall_ms,
             r.sim_span_ms,
             r.check_span_ms,
             r.overlap_ratio,
-            r.tx_per_sec,
+            r.tx_per_sec(),
             r.trace_events,
             r.peak_segments_resident,
             r.digest
@@ -596,13 +545,13 @@ mod tests {
         // digest fold and all.
         let rows = pipeline_scale(PIPELINE_DIFF_TIER as u64);
         let row = &rows[0];
-        let want = expected_pipeline_digest(row.tier).expect("fixture must pin the smallest tier");
+        let want = expected_pipeline_digest(row.txs).expect("fixture must pin the smallest tier");
         assert_eq!(
             row.digest, want,
             "pipeline trace digest {:016x} != fixture {:016x}",
             row.digest, want
         );
-        assert!(row.verdict_ok);
+        assert!(row.verdict.is_ok());
         assert!(
             row.peak_segments_resident <= pipeline_segment_bound(),
             "peak resident segments {} exceeded the O(batch) bound {}",

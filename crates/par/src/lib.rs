@@ -22,13 +22,17 @@
 //! items each take nanoseconds *loses* time to the spawn tax — and loses
 //! badly when it happens inside another `parallel_map` job, where every
 //! outer worker pays it again. [`parallel_map_costed`] takes a static
-//! per-item cost estimate (virtual, in nanoseconds; any fixed scale
-//! works as long as callers and [`min_work`] agree) and stays on the
-//! serial path whenever `est × len` is below the [`min_work`] floor.
-//! The floor comes from `SNOWBOUND_MIN_WORK` (nanoseconds; `0` disables
-//! the floor, huge values force every costed fan-out serial). The
-//! estimate is a *hint*: both paths compute the identical result, so a
-//! wrong estimate costs time, never correctness.
+//! per-item cost estimate (virtual, in nanoseconds) and stays on the
+//! serial path whenever `est × len` is below the [`DEFAULT_MIN_WORK`]
+//! floor. The estimate is a *hint*: both paths compute the identical
+//! result, so a wrong estimate costs time, never correctness.
+//!
+//! ## Streaming
+//!
+//! [`stream`] is the one producer→consumer handoff: the sim→check
+//! pipeline simulates in batches and checks each batch as it arrives.
+//! With a budget of 1 the producer's `emit` *is* the consumer, so each
+//! item is consumed before the next is produced and nothing buffers.
 //!
 //! Built on `std::thread::scope` only; no external dependencies.
 //!
@@ -43,32 +47,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "SNOWBOUND_THREADS";
 
-/// Environment variable overriding the serial-fallback work floor, in
-/// estimated nanoseconds of total fan-out work. Fan-outs estimated
-/// cheaper than this run on the calling thread. `0` disables the floor
-/// (every multi-item fan-out goes parallel, the pre-threshold
-/// behaviour); a huge value forces every costed fan-out serial.
-pub const MIN_WORK_ENV: &str = "SNOWBOUND_MIN_WORK";
-
-/// Default work floor: 2 ms of estimated work. Below this, the spawn
-/// tax (≈ 50 µs per worker, paid per call) eats any speedup an 8-way
-/// split could deliver.
+/// Serial-fallback work floor: 2 ms of estimated work. Fan-outs
+/// estimated cheaper than this run on the calling thread, because the
+/// spawn tax (≈ 50 µs per worker, paid per call) eats any speedup an
+/// 8-way split could deliver.
 pub const DEFAULT_MIN_WORK: u64 = 2_000_000;
 
 /// Per-item cost hint used by [`parallel_map`] when the caller gives
 /// none: assume items are heavy (10 ms each), so un-hinted call sites
 /// keep their historical always-parallel behaviour.
 pub const HEAVY_HINT: u64 = 10_000_000;
-
-/// The effective work floor: `SNOWBOUND_MIN_WORK` if set to an integer,
-/// else [`DEFAULT_MIN_WORK`]. Re-read on every call, like
-/// [`thread_budget`], so tests can toggle it mid-process.
-pub fn min_work() -> u64 {
-    match std::env::var(MIN_WORK_ENV) {
-        Ok(v) => v.trim().parse::<u64>().unwrap_or(DEFAULT_MIN_WORK),
-        Err(_) => DEFAULT_MIN_WORK,
-    }
-}
 
 /// The machine's available parallelism, probed once. Querying it is a
 /// syscall (plus cgroup reads on Linux) — far too slow for the budget
@@ -97,11 +85,6 @@ pub fn thread_budget() -> usize {
     }
 }
 
-/// True when [`thread_budget`] would run more than one worker.
-pub fn parallel_enabled() -> bool {
-    thread_budget() > 1
-}
-
 /// Map `f` over `items`, in parallel, preserving input order in the
 /// output.
 ///
@@ -125,10 +108,11 @@ where
 
 /// [`parallel_map`] with a static per-item cost estimate (nanoseconds).
 ///
-/// When `est_ns_per_item × items.len()` falls below [`min_work`], the
-/// fan-out is too small to amortize the spawn tax and runs as the
-/// literal serial loop on the calling thread — the same code path as
-/// `SNOWBOUND_THREADS=1`, so results are bit-identical either way.
+/// When `est_ns_per_item × items.len()` falls below
+/// [`DEFAULT_MIN_WORK`], the fan-out is too small to amortize the spawn
+/// tax and runs as the literal serial loop on the calling thread — the
+/// same code path as `SNOWBOUND_THREADS=1`, so results are
+/// bit-identical either way.
 /// Call sites with microsecond-scale items (per-session checker scans,
 /// per-client serialization probes) pass small estimates; heavy
 /// exhibits keep [`parallel_map`]'s default.
@@ -138,10 +122,9 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let floor = min_work();
     let est_total = est_ns_per_item.saturating_mul(items.len() as u64);
     let budget = thread_budget().min(items.len().max(1));
-    if budget <= 1 || items.len() <= 1 || est_total < floor {
+    if budget <= 1 || items.len() <= 1 || est_total < DEFAULT_MIN_WORK {
         return items.into_iter().map(f).collect();
     }
 
@@ -184,39 +167,40 @@ where
         .collect()
 }
 
-/// Run a producer and a consumer concurrently and return both results.
+/// Stream items from `producer` to `consumer`, in order, and return
+/// the producer's result.
 ///
-/// This is the audited primitive behind the streaming sim→check
-/// pipeline: the producer simulates and feeds batches into a channel,
-/// the consumer drains and checks them. With a thread budget of 1 the
-/// two closures run sequentially — `producer` to completion, then
-/// `consumer` — on the calling thread, so the serial escape hatch is
-/// the plain offline path. Callers must therefore buffer the handoff
-/// unboundedly in serial mode (an `mpsc::channel` rather than a
-/// `sync_channel`), or the producer would block with nobody draining.
+/// The producer gets an `emit` callback and calls it once per item.
+/// With a thread budget of 1, `emit` *is* `consumer`: each item is
+/// consumed on the calling thread before the producer resumes, so the
+/// handoff holds one item at a time. Otherwise the producer runs on a
+/// scoped thread and feeds a `sync_channel(depth)` that `consumer`
+/// drains on the calling thread, so a slow consumer backpressures the
+/// producer instead of buffering the run.
 ///
-/// Determinism contract: as with [`parallel_map`], both closures must
-/// be pure functions of their inputs plus the channel contents, and the
-/// channel contents must not depend on interleaving. Then the parallel
-/// run is bit-identical to the serial one. Panics in either closure
-/// propagate (the scope joins both).
-pub fn overlap<RA, RB, A, B>(producer: A, consumer: B) -> (RA, RB)
+/// Determinism contract: as with [`parallel_map`], the producer must
+/// not observe the consumer (nothing flows back through `emit`). Then
+/// the consumer sees the same items in the same order in both modes.
+/// Panics in either closure propagate.
+pub fn stream<T, R, P, C>(depth: usize, producer: P, mut consumer: C) -> R
 where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
+    T: Send,
+    R: Send,
+    P: FnOnce(&mut dyn FnMut(T)) -> R + Send,
+    C: FnMut(T),
 {
     if thread_budget() <= 1 {
-        let ra = producer();
-        let rb = consumer();
-        return (ra, rb);
+        return producer(&mut consumer);
     }
+    let (tx, rx) = std::sync::mpsc::sync_channel(depth);
     std::thread::scope(|scope| {
-        let h = scope.spawn(producer);
-        let rb = consumer();
-        let ra = h.join().expect("overlap producer panicked");
-        (ra, rb)
+        let h = scope
+            .spawn(move || producer(&mut |item| tx.send(item).expect("stream consumer hung up")));
+        // Ends when the producer returns (or panics) and drops `tx`.
+        for item in rx {
+            consumer(item);
+        }
+        h.join().expect("stream producer panicked")
     })
 }
 
@@ -293,40 +277,82 @@ mod tests {
     const _: () = assert!(DEFAULT_MIN_WORK > 0);
     const _: () = assert!(HEAVY_HINT >= DEFAULT_MIN_WORK);
 
-    #[test]
-    fn min_work_defaults_sane() {
-        // Whatever the env says, the floor parses to *something*.
-        let _ = min_work();
+    /// Run `f` with the thread budget pinned to `n`. The env var is
+    /// process-wide, so budget-sensitive tests take turns.
+    fn with_budget<R>(n: &str, f: impl FnOnce() -> R) -> R {
+        static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = std::env::var(THREADS_ENV).ok();
+        std::env::set_var(THREADS_ENV, n);
+        let out = f();
+        match saved {
+            Some(v) => std::env::set_var(THREADS_ENV, v),
+            None => std::env::remove_var(THREADS_ENV),
+        }
+        out
     }
 
     #[test]
-    fn overlap_runs_both_and_orders_results() {
-        let (tx, rx) = std::sync::mpsc::channel::<u64>();
-        let (sent, sum) = overlap(
-            move || {
-                let mut n = 0u64;
-                for i in 0..1000u64 {
-                    tx.send(i).expect("consumer hung up");
-                    n += 1;
-                }
-                n
-            },
-            move || {
-                let mut acc = 0u64;
-                while let Ok(v) = rx.recv() {
-                    acc += v;
-                }
-                acc
-            },
-        );
-        assert_eq!(sent, 1000);
-        assert_eq!(sum, 999 * 1000 / 2);
+    fn stream_preserves_order_in_both_modes() {
+        for budget in ["2", "1"] {
+            let mut got = Vec::new();
+            let sent = with_budget(budget, || {
+                stream(
+                    4,
+                    |emit| {
+                        for i in 0..1000u64 {
+                            emit(i);
+                        }
+                        1000u64
+                    },
+                    |v| got.push(v),
+                )
+            });
+            assert_eq!(sent, 1000);
+            assert_eq!(got, (0..1000).collect::<Vec<u64>>(), "budget {budget}");
+        }
     }
 
     #[test]
-    #[should_panic]
-    fn overlap_propagates_producer_panic() {
-        let _ = overlap(|| panic!("producer boom"), || 1u32);
+    fn stream_propagates_producer_panic() {
+        for budget in ["2", "1"] {
+            let r = with_budget(budget, || {
+                std::panic::catch_unwind(|| {
+                    stream(
+                        1,
+                        |emit: &mut dyn FnMut(u32)| {
+                            emit(1);
+                            panic!("producer boom")
+                        },
+                        |_| {},
+                    )
+                })
+            });
+            assert!(r.is_err(), "budget {budget}: panic was swallowed");
+        }
+    }
+
+    #[test]
+    fn serial_stream_consumes_each_item_before_the_next() {
+        // The fused property: under budget 1 the consumer has seen item
+        // i before the producer emits item i+1, so the handoff never
+        // buffers more than one item.
+        let seen = std::sync::atomic::AtomicU64::new(0);
+        with_budget("1", || {
+            stream(
+                1,
+                |emit| {
+                    for i in 0..100u64 {
+                        assert_eq!(seen.load(Ordering::SeqCst), i, "item {i} was buffered");
+                        emit(i);
+                    }
+                },
+                |_| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        });
+        assert_eq!(seen.load(Ordering::SeqCst), 100);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod world;
 pub use actor::{Actor, Ctx, Envelope};
 pub use fault::{Crash, FaultPlan, Partition};
 pub use latency::{LatencyKind, LatencyModel};
-pub use sink::{CountingSink, FnSink, SegmentSink};
+pub use sink::{CountingSink, SegmentSink};
 pub use trace::{Trace, TraceEvent, TraceView, SEAL_CAP};
 pub use types::{
     Link, MsgId, ProcessId, RunOutcome, ServiceModel, ServiceStats, SimConfig, Time, MICROS,

@@ -52,18 +52,6 @@ impl<M> SegmentSink<M> for CountingSink {
     }
 }
 
-/// A sink that forwards each segment's events into any `FnMut` — the
-/// glue between trace recycling and a channel sender (the bounded
-/// channel of the streaming pipeline lives in harness code; this
-/// adapter keeps the sim crate free of any channel policy).
-pub struct FnSink<F>(pub F);
-
-impl<M: Clone, F: FnMut(Vec<TraceEvent<M>>)> SegmentSink<M> for FnSink<F> {
-    fn consume(&mut self, events: &[TraceEvent<M>]) {
-        (self.0)(events.to_vec());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,26 +70,5 @@ mod tests {
         SegmentSink::<u32>::consume(&mut s, &seg[..2]);
         assert_eq!(s.segments, 2);
         assert_eq!(s.events, 6);
-    }
-
-    #[test]
-    fn fn_sink_forwards_in_order() {
-        let mut got: Vec<u64> = Vec::new();
-        {
-            let mut s = FnSink(|events: Vec<TraceEvent<u32>>| {
-                got.extend(events.iter().map(|e| e.at()));
-            });
-            for chunk in [[0u64, 1], [2, 3]] {
-                let seg: Vec<TraceEvent<u32>> = chunk
-                    .iter()
-                    .map(|&i| TraceEvent::Step {
-                        at: i,
-                        pid: ProcessId(0),
-                    })
-                    .collect();
-                s.consume(&seg);
-            }
-        }
-        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 }

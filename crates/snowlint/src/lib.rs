@@ -29,7 +29,7 @@
 //! Run as `cargo run -p snowlint` (writes `results/LINT_report.json`
 //! and `results/FLOW_graph.dot`) or via the `workspace_passes_snowlint`
 //! test every crate carries. Scanning fans out over [`cbf_par`] and
-//! respects the `SNOWBOUND_MIN_WORK` serial-path floor.
+//! stays serial below its `DEFAULT_MIN_WORK` floor.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -182,7 +182,7 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
         .unwrap_or_default();
 
     // Scan, fanning per-file work out over cbf-par. Lex + rules run at
-    // roughly 100µs/file; the SNOWBOUND_MIN_WORK floor keeps tiny
+    // roughly 100µs/file; the cbf-par work floor keeps tiny
     // changed-only sets on the serial path.
     let mut files = collect_rs_files(root);
     if let Some(only) = &opts.only_files {
